@@ -21,6 +21,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 Connection::Connection(EventLoop& loop, int fd, bool connecting)
     : loop_(loop), fd_(fd), connecting_(connecting) {
   TIMEDC_ASSERT(fd_ >= 0);
+  // Room for a protocol message frame (under 200 B) up front, so the first
+  // sends do not grow the scratch one frame size at a time.
+  scratch_.reserve(kScratchReserveBytes);
 }
 
 Connection::~Connection() {
@@ -84,15 +87,11 @@ int Connection::release(std::vector<std::uint8_t>& leftover) {
   return fd;
 }
 
-void Connection::inject(std::vector<std::uint8_t> data) {
+void Connection::inject(std::span<const std::uint8_t> data) {
   if (closed() || data.empty()) return;
   // These bytes were already counted by the releasing connection's
   // bytes_read; only the decode is replayed here.
-  if (rbuf_.empty()) {
-    rbuf_ = std::move(data);
-  } else {
-    rbuf_.insert(rbuf_.end(), data.begin(), data.end());
-  }
+  rbuf_.insert(rbuf_.end(), data.begin(), data.end());
   decode_buffered();
 }
 

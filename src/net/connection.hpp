@@ -19,6 +19,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -35,6 +37,23 @@ struct ConnectionStats {
   /// writev()/send() calls that moved at least one byte: frames_sent /
   /// flush_syscalls is the coalescing factor the batching layer achieves.
   std::uint64_t flush_syscalls = 0;
+};
+
+/// An allocator whose value-less construct() default-initializes: resize()
+/// on a byte vector then leaves the new tail uninitialised instead of
+/// zero-filling it, so reading into spare capacity costs no memset.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  // Constructions with arguments fall back to std::construct_at.
 };
 
 class Connection {
@@ -173,7 +192,7 @@ class Connection {
   /// Seed the read buffer with bytes that arrived before adoption (the
   /// steered connection's leftover) and decode them as if just read.
   /// Call after start().
-  void inject(std::vector<std::uint8_t> data);
+  void inject(std::span<const std::uint8_t> data);
 
   bool closed() const { return fd_ < 0; }
   bool released() const { return released_; }
@@ -206,12 +225,15 @@ class Connection {
   bool flush_armed_ = false;  // scheduler notified, flush_batched() pending
   std::uint32_t interest_ = 0;
 
-  std::vector<std::uint8_t> rbuf_;
+  /// Un-zeroed on growth: every recv lands in spare capacity that the
+  /// kernel fills, and only the bytes it returned are ever decoded.
+  std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> rbuf_;
   std::size_t rconsumed_ = 0;  // decoded prefix of rbuf_, compacted lazily
   SendQueue out_;
   /// Per-send encode scratch; cleared (capacity kept) around every encode,
   /// so steady-state sends never allocate.
   std::vector<std::uint8_t> scratch_;
+  static constexpr std::size_t kScratchReserveBytes = 512;
 
   FrameHandler on_frame_;
   CloseHandler on_close_;

@@ -5,12 +5,18 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/assert.hpp"
 
 namespace timedc::net {
 namespace {
+
+/// The loop whose run() is executing on this thread, if any. Thread-local,
+/// so no other thread ever reads it (unlike loop_thread_, which run()
+/// rewrites while other threads may call post()).
+thread_local const EventLoop* t_running_loop = nullptr;
 
 std::int64_t clock_us(clockid_t clock) {
   timespec ts;
@@ -31,6 +37,11 @@ EventLoop::EventLoop() {
   const int rc = epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   TIMEDC_ASSERT(rc == 0);
   loop_thread_ = std::this_thread::get_id();
+  // Room up front, so a new high-water mark of pending timers or of tasks
+  // posted in one tick does not reallocate mid-run (sizes: event_loop.hpp).
+  timers_.reserve(kReservedTimers);
+  posted_.reserve(kReservedPosts);
+  draining_.reserve(kReservedPosts);
 }
 
 EventLoop::~EventLoop() {
@@ -66,6 +77,8 @@ void EventLoop::remove_fd(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
+bool EventLoop::called_from_run() const { return t_running_loop == this; }
+
 void EventLoop::wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
@@ -76,7 +89,7 @@ void EventLoop::post(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(mutex_);
     posted_.push_back(std::move(fn));
   }
-  wake();
+  if (!called_from_run()) wake();
 }
 
 EventLoop::TimerId EventLoop::run_after(SimTime delay, std::function<void()> fn) {
@@ -86,16 +99,26 @@ EventLoop::TimerId EventLoop::run_after(SimTime delay, std::function<void()> fn)
   {
     std::lock_guard<std::mutex> lock(mutex_);
     id = next_timer_seq_++;
-    timers_.push(Timer{deadline, id, std::move(fn)});
-    live_timers_.insert(id);
+    timers_.push_back(Timer{deadline, id, std::move(fn)});
+    std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
   }
-  wake();
+  if (!called_from_run()) wake();
   return id;
 }
 
 bool EventLoop::cancel_timer(TimerId id) {
+  // Declared before the lock: the capture is destroyed after unlocking, so
+  // a destructor that posts cannot deadlock.
+  std::function<void()> dropped;
   std::lock_guard<std::mutex> lock(mutex_);
-  return live_timers_.erase(id) != 0;
+  for (Timer& t : timers_) {
+    if (t.seq != id) continue;
+    if (t.cancelled) return false;
+    t.cancelled = true;  // pops unfired at its deadline
+    dropped.swap(t.fn);  // release the capture now, not at the deadline
+    return true;
+  }
+  return false;  // already fired (or never issued)
 }
 
 void EventLoop::stop() {
@@ -136,12 +159,13 @@ void EventLoop::run_tick_end_hooks() {
 }
 
 void EventLoop::drain_posted() {
-  std::vector<std::function<void()>> tasks;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tasks.swap(posted_);
+    draining_.swap(posted_);
   }
-  for (auto& t : tasks) t();
+  // Tasks posted by these tasks land in posted_ and run next iteration.
+  for (auto& t : draining_) t();
+  draining_.clear();
 }
 
 void EventLoop::fire_due_timers() {
@@ -150,15 +174,13 @@ void EventLoop::fire_due_timers() {
     std::function<void()> fn;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (timers_.empty() || timers_.top().deadline_steady_us > now) return;
-      const std::uint64_t seq = timers_.top().seq;
-      // A seq no longer in live_timers_ was cancelled; drop it unfired. The
-      // timer is marked fired (erased) before its callback runs, so a timer
-      // cancelling itself from inside its own callback is a clean no-op.
-      if (live_timers_.erase(seq) != 0) {
-        fn = std::move(const_cast<Timer&>(timers_.top()).fn);
-      }
-      timers_.pop();
+      if (timers_.empty() || timers_.front().deadline_steady_us > now) return;
+      // The timer leaves the heap before its callback runs, so a timer
+      // cancelling itself from inside its own callback finds nothing
+      // pending. A cancelled timer pops unfired.
+      std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
+      if (!timers_.back().cancelled) fn.swap(timers_.back().fn);
+      timers_.pop_back();
     }
     if (fn) fn();
   }
@@ -166,8 +188,10 @@ void EventLoop::fire_due_timers() {
 
 int EventLoop::wait_timeout_ms() {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Tasks posted from inside the loop wrote no eventfd: poll, don't block.
+  if (!posted_.empty()) return 0;
   if (!timers_.empty()) {
-    const std::int64_t us = timers_.top().deadline_steady_us - steady_now_us();
+    const std::int64_t us = timers_.front().deadline_steady_us - steady_now_us();
     if (us <= 0) return 0;
     return static_cast<int>((us + 999) / 1000);
   }
@@ -176,6 +200,8 @@ int EventLoop::wait_timeout_ms() {
 
 void EventLoop::run() {
   loop_thread_ = std::this_thread::get_id();
+  const EventLoop* const outer = t_running_loop;
+  t_running_loop = this;
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
     const int n = epoll_wait(epoll_fd_, events, 64, wait_timeout_ms());
@@ -204,6 +230,7 @@ void EventLoop::run() {
     drain_posted();
     run_tick_end_hooks();
   }
+  t_running_loop = outer;
 }
 
 }  // namespace timedc::net

@@ -9,17 +9,17 @@
 // Threading: run() executes on exactly one thread (the loop thread); every
 // fd callback, timer and posted task fires there. post(), run_after() and
 // stop() are safe from any thread; add_fd/modify_fd/remove_fd are loop-
-// thread only.
+// thread only. Calls from inside this loop's own run() write no eventfd:
+// the loop computes its next epoll_wait timeout after the current tick, so
+// it already sees the new task or timer.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -41,8 +41,9 @@ class EventLoop {
   void modify_fd(int fd, std::uint32_t events);
   void remove_fd(int fd);
 
-  /// Run `fn` on the loop thread as soon as possible. Thread-safe; wakes a
-  /// blocked epoll_wait.
+  /// Run `fn` on the loop thread as soon as possible. Thread-safe; from
+  /// another thread it wakes a blocked epoll_wait, from inside run() it
+  /// runs on the next iteration without a wake (that epoll_wait polls).
   void post(std::function<void()> fn);
 
   /// Identifies one pending run_after timer. Never reused.
@@ -52,14 +53,17 @@ class EventLoop {
   /// Deadlines are tracked on CLOCK_MONOTONIC so wall-clock jumps cannot
   /// fire timers early or stall them. The returned id cancels the timer via
   /// cancel_timer(); it stays valid (as a no-op) after the timer fires.
+  /// Like post(), wakes the loop only when called from another thread.
   TimerId run_after(SimTime delay, std::function<void()> fn);
 
   /// Prevent a pending timer from firing. Returns true if the timer was
   /// still pending (it will now never run), false if it already fired or
   /// was already cancelled. Thread-safe, and safe from inside the timer's
   /// own callback (a timer cancelling itself mid-fire returns false — it is
-  /// no longer pending by then). Cancellation is lazy: the heap entry stays
-  /// until its deadline, where it pops as a no-op.
+  /// no longer pending by then). The callback is released at once; the
+  /// heap entry is flagged and stays until its deadline, where it pops
+  /// unfired. Scans the heap: meant for rare cancellations, not the
+  /// per-operation path.
   bool cancel_timer(TimerId id);
 
   /// Wall-clock time (CLOCK_REALTIME) in microseconds. Real deployments of
@@ -104,8 +108,9 @@ class EventLoop {
  private:
   struct Timer {
     std::int64_t deadline_steady_us;
-    std::uint64_t seq;  // insertion order breaks deadline ties
+    std::uint64_t seq;  // insertion order breaks deadline ties; the TimerId
     std::function<void()> fn;
+    bool cancelled = false;
   };
   struct TimerLater {
     bool operator()(const Timer& a, const Timer& b) const {
@@ -116,12 +121,26 @@ class EventLoop {
     }
   };
 
+  // Capacity reserved up front, about 4x the largest high-water marks
+  // measured (20-s e2ebench runs of every workload, and ten runs of
+  // client_alloc_test): 65 pending timers on cluster_forward's client loop
+  // (8 clients with retries, whose superseded retry timers stay pending
+  // until their deadlines, plus 3 supervised peers), at most 6 on a server
+  // loop; at most 4 tasks posted per tick on any loop.
+  static constexpr std::size_t kReservedTimers = 256;
+  static constexpr std::size_t kReservedPosts = 16;
+
   static std::int64_t steady_now_us();
+  /// True when the caller runs inside this loop's run(): its next
+  /// epoll_wait timeout is computed after the current tick, so a task or
+  /// timer added now needs no eventfd wake.
+  bool called_from_run() const;
   void wake();
   void drain_posted();
   void fire_due_timers();
   void run_tick_end_hooks();
-  /// epoll_wait timeout until the nearest timer (ms, rounded up), or -1.
+  /// epoll_wait timeout: 0 while posted tasks wait, else until the nearest
+  /// timer (ms, rounded up), or -1.
   int wait_timeout_ms();
 
   int epoll_fd_ = -1;
@@ -142,12 +161,15 @@ class EventLoop {
   bool hooks_dirty_ = false;
   std::int64_t tick_start_steady_us_ = 0;
 
-  std::mutex mutex_;  // guards posted_, timers_ and live_timers_
+  std::mutex mutex_;  // guards posted_ and timers_
   std::vector<std::function<void()>> posted_;
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  /// Seqs of timers that are pending and not cancelled; a popped entry
-  /// absent from this set was cancelled and is skipped.
-  std::unordered_set<std::uint64_t> live_timers_;
+  /// drain_posted() swaps posted_ with this loop-owned vector and clears it
+  /// after running the batch, so both keep their capacity: a steady stream
+  /// of posts allocates nothing.
+  std::vector<std::function<void()>> draining_;
+  /// Binary min-heap (std::push_heap/pop_heap with TimerLater) of pending
+  /// timers, cancelled ones included until their deadline pops them.
+  std::vector<Timer> timers_;
   std::uint64_t next_timer_seq_ = 0;
 };
 

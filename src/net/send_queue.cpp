@@ -23,6 +23,9 @@ void SendQueue::push_chunk() {
   }
   Chunk& c = ring_[(head_ + count_) & (ring_.size() - 1)];
   c.data.clear();  // keeps capacity: recycled chunks never reallocate
+  // A fresh chunk takes one page up front instead of growing through every
+  // power of two as batches get larger, which would allocate mid-run.
+  if (c.data.capacity() == 0) c.data.reserve(kFirstReserveBytes);
   c.sent = 0;
   ++count_;
 }

@@ -26,6 +26,9 @@ class SendQueue {
   /// Chunk payload size. Matches the read-side chunking: one full chunk is
   /// one comfortable writev element, and small frames pack densely.
   static constexpr std::size_t kChunkBytes = 64 * 1024;
+  /// Capacity a chunk reserves on first use: a client loop's flush (a few
+  /// dozen requests of ~60 B) fits without regrowing.
+  static constexpr std::size_t kFirstReserveBytes = 4096;
   /// Upper bound on iovecs per writev (IOV_MAX is 1024 everywhere we run;
   /// stay well below it).
   static constexpr std::size_t kMaxIov = 64;

@@ -134,7 +134,7 @@ void TcpTransport::adopt_steered(int fd, std::vector<std::uint8_t> leftover) {
   // steering it back would ping-pong.
   Connection* raw =
       adopt(std::make_shared<Connection>(loop_, fd, /*connecting=*/false));
-  raw->inject(std::move(leftover));
+  raw->inject(leftover);
 }
 
 void TcpTransport::add_route(SiteId site, std::string host,
@@ -476,7 +476,7 @@ void TcpTransport::start_dial(SiteId site) {
   const auto route_it = routes_.find(site.value);
   TIMEDC_ASSERT(route_it != routes_.end());
   transition(site, peer, ConnectionState::kConnecting);
-  const std::uint64_t generation = ++peer.generation;
+  const std::uint32_t generation = ++peer.generation;
   if (peer.failures > 0) ++stats_.reconnect_attempts;
 
   const int fd = make_tcp_socket();
@@ -534,7 +534,7 @@ void TcpTransport::on_supervised_connected(SiteId site) {
   schedule_heartbeat(site, peer.generation);
 }
 
-void TcpTransport::schedule_heartbeat(SiteId site, std::uint64_t generation) {
+void TcpTransport::schedule_heartbeat(SiteId site, std::uint32_t generation) {
   // ±10% jitter per tick: N members that booted together (or all watched
   // the same peer die) would otherwise fire their heartbeats — and the
   // membership digests riding them — in the same instant forever.
@@ -580,7 +580,7 @@ void TcpTransport::schedule_backoff(SiteId site) {
   Peer& peer = peers_.at(site.value);
   peer.conn = nullptr;
   if (shutting_down_) return;
-  const std::uint64_t generation = ++peer.generation;
+  const std::uint32_t generation = ++peer.generation;
   if (peer.failures >= supervision_.dead_after_failures) {
     transition(site, peer, ConnectionState::kDead);
     stats_.frames_dropped_peer_dead += peer.queue.size();

@@ -423,6 +423,9 @@ class TcpTransport final : public Transport {
   void send_message(SiteId from, SiteId to, Message m,
                     std::size_t bytes) override;
   SimTime now() const override { return loop_.now(); }
+  SimTime timer_now() const override {
+    return SimTime::micros(EventLoop::steady_time_us());
+  }
   void run_after(SimTime delay, std::function<void()> fn) override {
     loop_.run_after(delay, std::move(fn));
   }
@@ -457,7 +460,10 @@ class TcpTransport final : public Transport {
     /// Consecutive connection failures with no frame received in between.
     int failures = 0;
     /// Bumped on every dial/backoff so stale timers recognise themselves.
-    std::uint64_t generation = 0;
+    /// 32 bits keep a supervision timer's capture (this, site, generation)
+    /// at 16 bytes, which std::function stores inline: the heartbeat
+    /// ticker allocates nothing.
+    std::uint32_t generation = 0;
     std::uint64_t next_hb_seq = 1;
     std::int64_t last_rx_us = 0;  // loop_.now() at the last received frame
     std::deque<QueuedFrame> queue;
@@ -517,7 +523,7 @@ class TcpTransport final : public Transport {
   void on_supervised_connected(SiteId site);
   void on_supervised_close(SiteId site, Connection& conn);
   void schedule_backoff(SiteId site);
-  void schedule_heartbeat(SiteId site, std::uint64_t generation);
+  void schedule_heartbeat(SiteId site, std::uint32_t generation);
   void transition(SiteId site, Peer& peer, ConnectionState next);
   SimTime liveness_timeout() const;
 

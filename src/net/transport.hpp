@@ -49,6 +49,12 @@ class Transport {
   /// Run `fn` once, `delay` from now, in the dispatch context.
   virtual void run_after(SimTime delay, std::function<void()> fn) = 0;
 
+  /// The clock run_after() delays elapse on. TCP answers with the loop's
+  /// CLOCK_MONOTONIC, which a wall-clock step cannot move; a transport
+  /// whose now() never steps (the sim) keeps this default. Only its
+  /// differences mean anything: deadlines on it are for run_after alone.
+  virtual SimTime timer_now() const { return now(); }
+
   /// An upper bound on one-way delivery latency, used to budget RPC
   /// timeouts (infinite when the transport cannot promise one).
   virtual SimTime latency_upper_bound() const = 0;

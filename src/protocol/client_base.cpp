@@ -186,11 +186,35 @@ SimTime CacheClient::timeout_for_attempt(int attempt) {
 }
 
 void CacheClient::arm_timeout() {
-  const std::uint64_t id = rpc_->id;
-  const int attempt = rpc_->attempt;
-  net_.run_after(timeout_for_attempt(attempt), [this, id, attempt] {
-    if (rpc_ && rpc_->id == id && rpc_->attempt == attempt) on_rpc_timeout();
-  });
+  // One timeout_for_attempt call per transmit keeps the jitter stream
+  // unchanged. Most RPCs are answered long before their deadline, so the
+  // transport timer is armed only when this deadline precedes the pending
+  // one; on_timer() re-arms for an RPC still in flight.
+  const SimTime timeout = timeout_for_attempt(rpc_->attempt);
+  rpc_->deadline = net_.timer_now() + timeout;
+  if (rpc_->deadline < timer_at_) arm_timer(rpc_->deadline, timeout);
+}
+
+void CacheClient::arm_timer(SimTime at, SimTime delay) {
+  timer_at_ = at;
+  const std::uint64_t generation = ++timer_generation_;
+  // 16 bytes of capture: std::function stores it inline, no allocation.
+  net_.run_after(delay, [this, generation] { on_timer(generation); });
+}
+
+void CacheClient::on_timer(std::uint64_t generation) {
+  if (generation != timer_generation_) return;  // superseded by an earlier arm
+  // Judged against the time this timer was armed for, reading no clock:
+  // the timer fired when its own delay elapsed, whatever a clock says now.
+  const SimTime fired_at = timer_at_;
+  timer_at_ = SimTime::infinity();
+  if (!rpc_) return;
+  if (fired_at < rpc_->deadline) {
+    // Armed for an earlier RPC, answered since.
+    arm_timer(rpc_->deadline, rpc_->deadline - fired_at);
+    return;
+  }
+  on_rpc_timeout();
 }
 
 void CacheClient::on_rpc_timeout() {

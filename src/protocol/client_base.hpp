@@ -174,11 +174,15 @@ class CacheClient {
     SiteId target;
     int attempt = 1;
     int timeouts_at_target = 0;
+    /// This attempt's timeout, on the transport's timer_now() clock.
+    SimTime deadline = SimTime::infinity();
   };
 
   void on_network_message(const Message& message);
   void transmit();
   void arm_timeout();
+  void arm_timer(SimTime at, SimTime delay);
+  void on_timer(std::uint64_t generation);
   void on_rpc_timeout();
   void abandon_op();
   SimTime timeout_for_attempt(int attempt);
@@ -196,6 +200,11 @@ class CacheClient {
   std::vector<SiteId> failover_;
   Rng rpc_rng_{0};
   std::optional<InFlightRpc> rpc_;
+  // The client's one transport timer (retries on): when it fires, on the
+  // timer_now() clock (infinity = none pending), and its generation. An earlier deadline
+  // re-arms and bumps the generation; a superseded timer fires as a no-op.
+  SimTime timer_at_ = SimTime::infinity();
+  std::uint64_t timer_generation_ = 0;
   std::uint64_t next_request_id_ = 0;
   SimTime op_started_at_ = SimTime::zero();
   bool op_abandoned_ = false;

@@ -128,11 +128,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (obs != nullptr) injector->emit_partition_markers(*obs);
   }
 
+  ServerConfig server_config{config.lease};
+  server_config.record_write_history = true;  // the staleness oracle
   std::vector<std::unique_ptr<ObjectServer>> servers;
   for (SiteId site : cluster) {
     servers.push_back(std::make_unique<ObjectServer>(
         sim, net, site, num_clients, config.push, config.sizes, cluster,
-        ServerConfig{config.lease}));
+        server_config));
     servers.back()->set_tracer(obs);
     servers.back()->attach();
     if (injector) {

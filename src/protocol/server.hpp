@@ -68,6 +68,10 @@ struct ServerConfig {
   std::uint32_t admit_burst = 64;
   /// Bounded write deferrals under overload before applying anyway.
   std::uint32_t admit_max_write_deferrals = 2;
+  /// Keep every write arrival for the oracle accessors (applied_writes,
+  /// write_history): 24 B per write, never freed. The sim experiment
+  /// harness turns it on; a long-running server leaves it off.
+  bool record_write_history = false;
 };
 
 struct ServerStats {
@@ -261,9 +265,10 @@ class ObjectServer {
   }
 
   /// Oracle access for the experiment harness: every write arrival in
-  /// server order (values are unique). `accepted` is false for writes that
-  /// lost the last-writer-wins race on start time alpha and never became
-  /// the object's value.
+  /// server order (values are unique); empty unless
+  /// ServerConfig::record_write_history is set. `accepted` is false for
+  /// writes that lost the last-writer-wins race on start time alpha and
+  /// never became the object's value.
   struct AppliedWrite {
     Value value;
     SimTime applied_at;
@@ -366,6 +371,8 @@ class ObjectServer {
   ObjectCopy copy_of(ObjectId object, SimTime lease_extension = SimTime::zero()) const;
   void send(SiteId to, Message m);
   Stored& stored(ObjectId object);
+  /// Append to history_ when config_.record_write_history is set.
+  void record_history(ObjectId object, AppliedWrite w);
 
   Transport& net_;
   SiteId self_;

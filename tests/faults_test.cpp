@@ -11,10 +11,19 @@
 //   mid-run crash/restart of each server — all operations complete,
 //   admitted reads are never late (late_fraction == 0), faults show up
 //   as retries/failovers instead.
+// - One retry timer per client: RPCs answered in time arm far fewer
+//   transport timers than there are RPCs, a fresh RPC whose deadline
+//   precedes a retried one's still times out at its own deadline, and a
+//   clock stepping back does not delay a retry.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/trace_io.hpp"
 #include "protocol/experiment.hpp"
+#include "protocol/server.hpp"
+#include "protocol/timed_serial_cache.hpp"
 #include "sim/faults.hpp"
 
 namespace timedc {
@@ -268,6 +277,172 @@ TEST(FaultExperimentTest, DuplicationIsSuppressed) {
   EXPECT_EQ(r.ops_abandoned, 0u);
   EXPECT_EQ(r.late_fraction, 0.0);
   EXPECT_GT(r.network.messages_delivered, r.network.messages_sent);
+}
+
+/// Decorates the sim Network for one client: counts run_after calls and
+/// records (and can drop) the client's outgoing requests.
+class ObservedTransport final : public Transport {
+ public:
+  explicit ObservedTransport(Network& inner) : inner_(inner) {}
+
+  void register_site(SiteId self, MessageHandler handler) override {
+    inner_.register_site(self, std::move(handler));
+  }
+  void send_message(SiteId from, SiteId to, Message m,
+                    std::size_t bytes) override {
+    sends.push_back(Send{inner_.now(), request_id(m)});
+    if (drop_sends > 0) {
+      --drop_sends;
+      return;
+    }
+    inner_.send_message(from, to, std::move(m), bytes);
+  }
+  /// A wall clock that steps back by step_back_at_next_arm right after the
+  /// next run_after; the sim's timers are unaffected, and timer_now() keeps
+  /// the default, so the client's deadlines are read on this clock.
+  SimTime now() const override { return inner_.now() - clock_back; }
+  void run_after(SimTime delay, std::function<void()> fn) override {
+    ++run_afters;
+    clock_back += step_back_at_next_arm;
+    step_back_at_next_arm = SimTime::zero();
+    inner_.run_after(delay, std::move(fn));
+  }
+  SimTime latency_upper_bound() const override {
+    return inner_.latency_upper_bound();
+  }
+
+  struct Send {
+    SimTime at;
+    std::uint64_t request_id;
+  };
+  std::vector<Send> sends;
+  int drop_sends = 0;  // drop this many next requests
+  SimTime step_back_at_next_arm = SimTime::zero();
+  SimTime clock_back = SimTime::zero();
+  int run_afters = 0;
+
+ private:
+  static std::uint64_t request_id(const Message& m) {
+    if (const auto* f = std::get_if<FetchRequest>(&m)) return f->request_id;
+    if (const auto* v = std::get_if<ValidateRequest>(&m)) return v->request_id;
+    if (const auto* w = std::get_if<WriteRequest>(&m)) return w->request_id;
+    return 0;
+  }
+
+  Network& inner_;
+};
+
+/// One server (site 0) on a 10us fixed-latency sim network and one TSC
+/// client (site 1) whose traffic goes through an ObservedTransport.
+struct RetryCell {
+  explicit RetryCell(RetryPolicy policy) {
+    net = std::make_unique<Network>(
+        sim, 2, std::make_unique<FixedLatency>(SimTime::micros(10)),
+        NetworkConfig{}, Rng(1));
+    server = std::make_unique<ObjectServer>(*net, SiteId{0}, 2,
+                                            PushPolicy::kNone, MessageSizes{});
+    server->attach();
+    observed = std::make_unique<ObservedTransport>(*net);
+    client = std::make_unique<TimedSerialCache>(
+        *observed, SiteId{1}, SiteId{0}, &clock, SimTime::infinity(),
+        /*mark_old=*/true, MessageSizes{});
+    client->configure_reliability(policy, {SiteId{0}}, 7);
+    client->attach();
+  }
+
+  Simulator sim;
+  PerfectClock clock;
+  std::unique_ptr<Network> net;
+  std::unique_ptr<ObjectServer> server;
+  std::unique_ptr<ObservedTransport> observed;
+  std::unique_ptr<TimedSerialCache> client;
+};
+
+TEST(RetryTimerTest, AnsweredRpcsArmFarFewerTimersThanRpcs) {
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.base_timeout = ms(1);
+  RetryCell cell(policy);
+  // Back-to-back misses on distinct objects: every read is one fetch RPC,
+  // answered after ~20us, far inside its 1ms (+ jitter) timeout.
+  constexpr int kRpcs = 400;
+  int completed = 0;
+  std::function<void()> next = [&] {
+    if (completed == kRpcs) return;
+    cell.client->read(ObjectId{static_cast<std::uint32_t>(completed)},
+                      [&](Value, SimTime) {
+                        ++completed;
+                        next();
+                      });
+  };
+  next();
+  cell.sim.run_until();
+  EXPECT_EQ(completed, kRpcs);
+  EXPECT_EQ(cell.observed->sends.size(), static_cast<std::size_t>(kRpcs));
+  EXPECT_EQ(cell.client->stats().retries, 0u);
+  // Not one timer per RPC: 400 RPCs span ~8ms, the timer re-arms when it
+  // fires with an RPC in flight (~1ms apart) or when jitter gives a fresh
+  // RPC an earlier deadline than the pending one (a few times per period).
+  EXPECT_GE(cell.observed->run_afters, 1);
+  EXPECT_LE(cell.observed->run_afters, kRpcs / 10);
+}
+
+TEST(RetryTimerTest, FreshRpcTimesOutAtItsOwnEarlierDeadline) {
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_timeout = ms(1);
+  policy.backoff = 8.0;  // the retried attempt's deadline is 8ms out
+  policy.jitter = 0;     // exact deadlines
+  RetryCell cell(policy);
+  // RPC 1: the first send is lost; its retry (deadline +8ms) is answered.
+  cell.observed->drop_sends = 1;
+  SimTime first_done = SimTime::infinity();
+  bool second_done = false;
+  cell.client->read(ObjectId{1}, [&](Value, SimTime at) {
+    first_done = at;
+    // RPC 2, issued while RPC 1's backed-off timer is still pending: its
+    // 1ms deadline is earlier, and its first send is lost too.
+    cell.observed->drop_sends = 1;
+    cell.client->read(ObjectId{2}, [&](Value, SimTime) { second_done = true; });
+  });
+  cell.sim.run_until();
+  ASSERT_FALSE(first_done.is_infinite());
+  EXPECT_TRUE(second_done);
+  EXPECT_EQ(cell.client->stats().retries, 2u);
+  const auto& sends = cell.observed->sends;
+  ASSERT_EQ(sends.size(), 4u);
+  EXPECT_EQ(sends[0].at, SimTime::zero());
+  EXPECT_EQ(sends[1].at, ms(1));  // RPC 1 retried at its deadline
+  EXPECT_EQ(sends[1].request_id, sends[0].request_id);
+  EXPECT_EQ(sends[2].at, first_done);  // RPC 2's first (lost) send
+  EXPECT_NE(sends[2].request_id, sends[0].request_id);
+  // RPC 2 retried at its own deadline, not at RPC 1's pending 9ms timer.
+  EXPECT_EQ(sends[3].request_id, sends[2].request_id);
+  EXPECT_EQ(sends[3].at, first_done + ms(1));
+  EXPECT_LT(sends[3].at, ms(9));
+}
+
+TEST(RetryTimerTest, RetryGoesOutOnTimeWhenNowStepsBack) {
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.base_timeout = ms(1);
+  policy.jitter = 0;
+  RetryCell cell(policy);
+  // The first send is lost, and right after its timer is armed the
+  // client's clock steps back 500us. The timer still fires 1ms after the
+  // send; judging the deadline by that clock would see 500us to go and
+  // retry 500us late.
+  cell.observed->drop_sends = 1;
+  cell.observed->step_back_at_next_arm = SimTime::micros(500);
+  bool done = false;
+  cell.client->read(ObjectId{1}, [&](Value, SimTime) { done = true; });
+  cell.sim.run_until();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(cell.client->stats().retries, 1u);
+  const auto& sends = cell.observed->sends;
+  ASSERT_EQ(sends.size(), 2u);
+  EXPECT_EQ(sends[0].at, SimTime::zero());
+  EXPECT_EQ(sends[1].at, ms(1));  // sim time: the retry is on time
 }
 
 }  // namespace

@@ -157,6 +157,35 @@ TEST_F(SerialCacheFixture, PushUpdateRefreshesCache) {
   EXPECT_EQ(clients_[0]->stats().cache_hits, 1u);  // served locally
 }
 
+// A long-running server must not grow per write: the write-arrival history
+// exists only for the experiment harness's oracle, which opts in.
+TEST_F(SerialCacheFixture, ServerKeepsNoWriteHistoryUnlessAsked) {
+  init(SimTime::infinity());
+  constexpr int kWrites = 50;
+  for (int i = 1; i <= kWrites; ++i) {
+    write_now(i % 2, ObjectId{static_cast<std::uint32_t>(i % 4)}, Value{i});
+  }
+  EXPECT_EQ(server_->stats().writes_applied, static_cast<std::uint64_t>(kWrites));
+  EXPECT_TRUE(server_->write_history().empty());
+  EXPECT_TRUE(server_->applied_writes(ObjectId{1}).empty());
+
+  ServerConfig config;
+  config.record_write_history = true;
+  ObjectServer oracle(*net_, SiteId{2}, 2, PushPolicy::kNone, MessageSizes{},
+                      {}, config);
+  oracle.attach();  // replaces the fixture's server as site 2's handler
+  for (int i = 1; i <= kWrites; ++i) {
+    write_now(0, ObjectId{static_cast<std::uint32_t>(i % 4)}, Value{i});
+  }
+  std::size_t recorded = 0;
+  for (const auto& [object, writes] : oracle.write_history()) {
+    recorded += writes.size();
+  }
+  EXPECT_EQ(recorded, static_cast<std::size_t>(kWrites));
+  EXPECT_EQ(oracle.applied_writes(ObjectId{1}).size(),
+            static_cast<std::size_t>(kWrites / 4 + 1));
+}
+
 // --- Causal cache ----------------------------------------------------------
 
 class CausalCacheFixture : public ::testing::Test {
